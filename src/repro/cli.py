@@ -1279,9 +1279,9 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument(
         "--engine",
         choices=("scalar", "vector"),
-        default="scalar",
-        help="event executor: the reference per-VPC loop or the "
-        "columnar vectorized fast path (identical results)",
+        default="vector",
+        help="event executor: the columnar vectorized fast path "
+        "(default) or the reference per-VPC loop; bit-identical results",
     )
     replay.add_argument(
         "--profile",
@@ -1397,8 +1397,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--engine",
             choices=("scalar", "vector"),
-            default="scalar",
-            help="trace engine (both produce identical reports)",
+            default="vector",
+            help="trace engine: vector (default) or the scalar "
+            "reference loop; both produce bit-identical reports",
         )
         cmd.add_argument(
             "-o",

@@ -11,7 +11,8 @@ Two execution modes are provided:
 * **event mode** (:meth:`StreamPIMDevice.execute_trace`) — discrete-event
   execution of an explicit VPC stream with per-subarray blocking between
   read/write and shift/compute operation classes.  State-accurate for
-  data (a sparse word store) and used to validate the analytic mode.
+  data (a paged dense word store, :class:`WordStore`) and used to
+  validate the analytic mode.
 * **analytic mode** (:meth:`StreamPIMDevice.execute_rounds`) — closed-form
   composition of prep/compute rounds through the
   :class:`~repro.core.scheduler.Scheduler`; this is how the paper-scale
@@ -94,30 +95,75 @@ class StreamExecResult:
     trace: "object"
     #: Number of non-empty chunks fed to the execution state.
     chunks: int
-    #: Chunks the monitored fast functional apply replayed exactly.
+    #: Chunks the batched functional apply handed to the exact loop.
     fallbacks: int
 
 
 class WordStore:
-    """Sparse word-addressable data store backing event-mode execution."""
+    """Paged dense word store backing event-mode execution.
+
+    The address space is cut into fixed-size pages of
+    :attr:`PAGE_WORDS` int64 words, allocated on first write; each page
+    carries a mask of the words ever written.  A read or write is one
+    slice copy per page it crosses.  Unwritten words read 0, and
+    ``len()`` counts distinct written words.
+    """
+
+    PAGE_WORDS = 4096
 
     def __init__(self) -> None:
-        self._words: Dict[int, int] = {}
+        #: page number -> (values, written mask)
+        self._pages: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        self._written = 0
 
     def read(self, address: int, length: int) -> np.ndarray:
         if length <= 0:
             raise ValueError(f"length must be positive, got {length}")
-        return np.array(
-            [self._words.get(address + i, 0) for i in range(length)],
-            dtype=np.int64,
-        )
+        out = np.zeros(length, dtype=np.int64)
+        pos = 0
+        while pos < length:
+            page, lo = divmod(address + pos, self.PAGE_WORDS)
+            take = min(self.PAGE_WORDS - lo, length - pos)
+            held = self._pages.get(page)
+            if held is not None:
+                out[pos : pos + take] = held[0][lo : lo + take]
+            pos += take
+        return out
 
     def write(self, address: int, values) -> None:
-        for i, value in enumerate(np.asarray(values).ravel()):
-            self._words[address + i] = int(value)
+        values = np.asarray(values).ravel().astype(np.int64, copy=False)
+        length = len(values)
+        pos = 0
+        while pos < length:
+            page, lo = divmod(address + pos, self.PAGE_WORDS)
+            take = min(self.PAGE_WORDS - lo, length - pos)
+            held = self._pages.get(page)
+            if held is None:
+                held = self._pages[page] = (
+                    np.zeros(self.PAGE_WORDS, dtype=np.int64),
+                    np.zeros(self.PAGE_WORDS, dtype=bool),
+                )
+            mask = held[1][lo : lo + take]
+            self._written += take - int(np.count_nonzero(mask))
+            mask[:] = True
+            held[0][lo : lo + take] = values[pos : pos + take]
+            pos += take
+
+    def snapshot(self) -> Dict[int, int]:
+        """Every written word as an ``{address: value}`` dict."""
+        out: Dict[int, int] = {}
+        for page, (values, mask) in sorted(self._pages.items()):
+            offsets = np.flatnonzero(mask)
+            out.update(
+                zip(
+                    (offsets + page * self.PAGE_WORDS).tolist(),
+                    values[offsets].tolist(),
+                )
+            )
+        return out
 
     def __len__(self) -> int:
-        return len(self._words)
+        return self._written
 
 
 @dataclass

@@ -22,8 +22,8 @@ The pipeline is interleaved on one thread: the generator lowers the
 next operation exactly while the engine is between chunks.  (A threaded
 producer was measured and rejected — both sides are GIL-bound Python
 loops, so handing chunks across a queue *added* ~40% wall time.)  The
-streamed speedup instead comes from removing the phase barrier and from
-the chunked consumer's monitored fast functional apply; the telemetry
+streamed speedup instead comes from removing the phase barrier; both
+paths share the vector engine's batched functional apply.  The telemetry
 still separates produce (lowering) from consume (execution) time so
 the stall/overlap economics stay measurable.
 

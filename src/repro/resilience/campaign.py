@@ -72,7 +72,7 @@ def run_with_faults(
     config: Optional[FaultCampaignConfig] = None,
     seed: Union[int, np.random.SeedSequence] = 0,
     workload: str = "trace",
-    engine: str = "scalar",
+    engine: str = "vector",
     functional: bool = True,
     verify: bool = True,
 ) -> Tuple[Optional[RunStats], ReliabilityRunReport]:
@@ -82,7 +82,8 @@ def run_with_faults(
     run (or a retry budget runs out), the engine's typed
     :class:`~repro.sim.errors.SimulationFault` is caught here, ``stats``
     is None, and the report records the abort; unplanned faults still
-    propagate.
+    propagate.  ``engine`` defaults to the vector engine; under one
+    seed both engines give bit-identical results.
     """
     config = config or FaultCampaignConfig()
     session = build_session(device, trace, config, seed)
@@ -201,7 +202,7 @@ def run_campaign(
     runs: int = 16,
     master_seed: int = 0,
     jobs: int = 1,
-    engine: str = "scalar",
+    engine: str = "vector",
     functional: bool = True,
     use_cache: bool = True,
     cache_dir=None,

@@ -18,8 +18,9 @@ This module is the columnar fast path selected with
   the per-subarray blocking recurrence — reduced to a handful of float
   ``max``/``add`` operations per command over precomputed columns;
 * a **batched functional apply** that replays data movement on a dense,
-  address-compacted buffer with NumPy slice arithmetic instead of
-  per-word dictionary traffic.
+  address-compacted buffer: commands are levelled by their word hazards
+  within each op, and each level runs as a few gather/compute/scatter
+  batches per ``(opcode, size)`` group.
 
 Equivalence contract: for every trace the vector engine produces
 *bit-identical* results to the scalar executor — the same ``RunStats``
@@ -234,14 +235,13 @@ class VectorExecState:
     (:func:`sweep_spans`, which globally sorts span edges) runs once in
     :meth:`finish` over the accumulated spans.
 
-    Functional state advances per chunk through a monitored fast apply
-    (:func:`_apply_functional_chunk`); chunks whose values could
-    interact with the operand-range checks fall back to the exact
-    per-command loop, so error behaviour (message and offending
-    command) is preserved.  ``exact_apply=True`` forces the per-command
-    loop for every chunk — the phased :func:`execute_columnar` wrapper
-    uses it to stay the unchanged bit-identity reference, and it is
-    implied whenever a fault session is attached.
+    Functional state advances per chunk through the dependency-levelled
+    batched apply (:func:`_apply_functional_batched`); chunks whose
+    values could interact with the operand-range checks fall back to
+    the exact per-command loop (:func:`_apply_functional_exact`), so
+    error behaviour (message and offending command) is preserved.  A
+    fault session always takes the exact loop, which applies its drift
+    corruption command by command.
     """
 
     def __init__(
@@ -251,7 +251,6 @@ class VectorExecState:
         functional: bool = True,
         faults=None,
         span_sink=None,
-        exact_apply: bool = False,
     ) -> None:
         if faults is not None and faults.abort_index is not None:
             raise ValueError(
@@ -263,12 +262,11 @@ class VectorExecState:
         self.functional = device._functional_enabled(functional)
         self.faults = faults
         self.span_sink = span_sink
-        self.exact_apply = bool(exact_apply or faults is not None)
         #: Commands consumed so far (the global index of the next one).
         self.offset = 0
         self.pim_vpcs = 0
         self.chunks_fed = 0
-        #: Chunks the monitored fast apply handed to the exact loop.
+        #: Chunks the batched apply handed to the exact loop.
         self.fallbacks = 0
         self._busy: Dict[int, float] = {}
         self._bus_busy = 0.0
@@ -457,16 +455,17 @@ class VectorExecState:
         self._finish_time = finish_time
 
         if self.functional:
-            if self.exact_apply or not _apply_functional_chunk(
-                device, cols
-            ):
-                if not self.exact_apply:
-                    self.fallbacks += 1
-                _apply_functional_columnar(
+            if self.faults is not None:
+                _apply_functional_exact(
                     device,
                     cols,
                     faults=self.faults,
                     index_offset=self.offset,
+                )
+            elif not _apply_functional_batched(device, cols):
+                self.fallbacks += 1
+                _apply_functional_exact(
+                    device, cols, index_offset=self.offset
                 )
         self.offset += n
         self.chunks_fed += 1
@@ -542,9 +541,8 @@ def execute_columnar(
     *after* the run without adding any per-event work here.
 
     This is the phased path: one :class:`VectorExecState` fed the whole
-    trace as a single chunk, with the exact per-command functional loop
-    (never the monitored fast apply) — it stays the unchanged
-    bit-identity reference the streamed pipeline is tested against.
+    trace as a single chunk, so it shares the streamed pipeline's
+    batched functional apply and exact fallback.
     """
     check_addresses(device, cols)
 
@@ -552,7 +550,7 @@ def execute_columnar(
         # The scalar loop raises mid-trace with every earlier VPC
         # already applied; reproduce that observable state exactly.
         if device._functional_enabled(functional):
-            _apply_functional_columnar(
+            _apply_functional_exact(
                 device, cols, faults=faults, limit=faults.abort_index
             )
         raise faults.abort_error()
@@ -563,20 +561,28 @@ def execute_columnar(
         functional=functional,
         faults=faults,
         span_sink=span_sink,
-        exact_apply=True,
     )
     state.feed(cols, check=False)
     return state.finish()
 
 
 # ----------------------------------------------------------------------
-# Batched functional apply
+# Functional apply
 # ----------------------------------------------------------------------
+#: Most (segment, command) access pairs one levelling block expands to.
+#: A larger block is split into two consecutive halves; that split is
+#: exact, because blocks run in trace order (a block boundary is a
+#: barrier) — it only trades batch width for bounded memory.
+_PAIR_BUDGET = 1 << 20
+#: Most words one batched gather copies (bounds the transient rows).
+_GATHER_WORDS = 1 << 20
+
+
 def _merge_ranges(
     starts: np.ndarray, ends: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Union of half-open ranges as sorted disjoint segments."""
-    order = np.argsort(starts, kind="stable")
+    order = np.argsort(starts)
     starts = starts[order]
     running_end = np.maximum.accumulate(ends[order])
     breaks = np.empty(len(starts), dtype=bool)
@@ -589,16 +595,89 @@ def _merge_ranges(
     return segment_starts, running_end[last]
 
 
-def _apply_functional_columnar(
+def _exclusive_cumsum(counts: np.ndarray) -> np.ndarray:
+    out = np.zeros(len(counts), dtype=np.int64)
+    np.cumsum(counts[:-1], out=out[1:])
+    return out
+
+
+def _expand(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(start, start + count)`` per row, loop-free."""
+    return np.repeat(starts - _exclusive_cumsum(counts), counts) + np.arange(
+        int(counts.sum()), dtype=np.int64
+    )
+
+
+class _DenseWords:
+    """The words the first ``count`` commands of a chunk touch, dense.
+
+    Every read and write range is merged into disjoint segments laid
+    end to end in :attr:`buffer`, which is seeded from the word store
+    one segment at a time (unwritten words read 0).  ``a``/``b``/``d``
+    are the commands' compacted src1/src2/des offsets; :meth:`flush`
+    writes the destination ranges back.  Shared by the batched apply
+    and the exact per-command loop, so both see the same buffer.
+    """
+
+    def __init__(self, store, cols: ColumnarTrace, count: int) -> None:
+        self.opcode = opcode = cols.opcode[:count]
+        self.size = size = cols.size[:count].astype(np.int64)
+        self.compute = compute = cols.is_compute[:count]
+        src1 = cols.src1[:count].astype(np.int64)
+        src2 = cols.src2[:count].astype(np.int64)
+        self._des = des = cols.des[:count].astype(np.int64)
+        self.src1_len = np.where(opcode == SMUL_BYTE, 1, size)
+        self.des_len = np.where(opcode == MUL_BYTE, 1, size)
+
+        self._starts, ends = _merge_ranges(
+            np.concatenate((src1, src2[compute], des)),
+            np.concatenate(
+                (
+                    src1 + self.src1_len,
+                    (src2 + size)[compute],
+                    des + self.des_len,
+                )
+            ),
+        )
+        lengths = ends - self._starts
+        self._offsets = _exclusive_cumsum(lengths)
+        self.buffer = np.empty(int(lengths.sum()), dtype=np.int64)
+        read = store.read
+        for start, length, offset in zip(
+            self._starts.tolist(), lengths.tolist(), self._offsets.tolist()
+        ):
+            self.buffer[offset : offset + length] = read(start, length)
+        self.a = self._compact(src1)
+        # src2 of TRAN rows is the no-operand sentinel, outside every
+        # segment; substitute src1 so the lookup stays in range (the
+        # value is never used for TRAN rows).
+        self.b = self._compact(np.where(compute, src2, src1))
+        self.d = self._compact(des)
+
+    def _compact(self, addresses: np.ndarray) -> np.ndarray:
+        index = np.searchsorted(self._starts, addresses, side="right") - 1
+        return self._offsets[index] + (addresses - self._starts[index])
+
+    def flush(self, store) -> None:
+        """Write every destination range back to the word store."""
+        starts, ends = _merge_ranges(self._des, self._des + self.des_len)
+        write = store.write
+        for start, end, base in zip(
+            starts.tolist(), ends.tolist(), self._compact(starts).tolist()
+        ):
+            write(start, self.buffer[base : base + (end - start)])
+
+
+def _apply_functional_exact(
     device, cols: ColumnarTrace, faults=None, limit=None, index_offset=0
 ) -> None:
-    """Replay the trace's data movement on a compacted dense buffer.
+    """Exact per-command functional replay on the dense buffer.
 
-    Word addresses referenced by the trace are compacted into one dense
-    int64 buffer (seeded from the device's word store), every command is
-    applied with NumPy slice arithmetic, and the written ranges are
-    flushed back — producing exactly the word-store contents the scalar
-    per-word dictionary path produces.
+    Applies one command at a time through ``RMProcessor.apply`` (with
+    its operand-range checks), producing exactly the word-store
+    contents — and the exact ``ValueError`` at the exact command — of
+    the scalar per-VPC loop.  It serves fault sessions and chunks the
+    batched apply hands back (:func:`_apply_functional_batched`).
 
     ``faults`` corrupts destination slices at the session's undetected-
     drift indices (same rotation, same point in the apply sequence as
@@ -608,79 +687,43 @@ def _apply_functional_columnar(
     trace arrives as chunks — fault indices and diagnostics stay in
     whole-trace terms.
     """
-    n = len(cols)
-    count = n if limit is None else min(limit, n)
+    count = len(cols) if limit is None else min(limit, len(cols))
     if count == 0:
         return
-    opcode = cols.opcode
-    src1 = cols.src1.astype(np.int64)
-    src2 = cols.src2.astype(np.int64)
-    des = cols.des.astype(np.int64)
-    size = cols.size.astype(np.int64)
-    compute = cols.is_compute
-    src1_len = np.where(opcode == SMUL_BYTE, 1, size)
-    des_len = np.where(opcode == MUL_BYTE, 1, size)
-
-    range_starts = np.concatenate((src1, src2[compute], des))
-    range_ends = np.concatenate(
-        (src1 + src1_len, (src2 + size)[compute], des + des_len)
-    )
-    segment_starts, segment_ends = _merge_ranges(range_starts, range_ends)
-    lengths = segment_ends - segment_starts
-    offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    buffer = np.zeros(int(lengths.sum()), dtype=np.int64)
-
-    def compact(addresses: np.ndarray) -> np.ndarray:
-        index = np.searchsorted(segment_starts, addresses, side="right") - 1
-        return offsets[index] + (addresses - segment_starts[index])
-
-    # Seed from the sparse store (reads of unseeded words default to 0).
-    stored = device.store._words
-    if stored:
-        keys = np.fromiter(stored.keys(), dtype=np.int64, count=len(stored))
-        values = np.fromiter(
-            stored.values(), dtype=np.int64, count=len(stored)
-        )
-        index = np.searchsorted(segment_starts, keys, side="right") - 1
-        inside = (index >= 0) & (keys < segment_ends[index])
-        buffer[compact(keys[inside])] = values[inside]
-
-    op_list = opcode.tolist()
-    a_list = compact(src1).tolist()
-    # src2 of TRAN rows is the no-operand sentinel, outside every
-    # segment; substitute src1 so compact() stays in range (the value is
-    # never used for TRAN rows).
-    b_list = compact(np.where(compute, src2, src1)).tolist()
-    d_list = compact(des).tolist()
-    size_list = size.tolist()
+    words = _DenseWords(device.store, cols, count)
+    buffer = words.buffer
+    op_list = words.opcode.tolist()
+    a_list = words.a.tolist()
+    b_list = words.b.tolist()
+    d_list = words.d.tolist()
+    size_list = words.size.tolist()
     apply_compute = device.processor.apply
     drift_map = faults.drift if faults is not None else None
     if not drift_map:
         drift_map = None
         des_len_list = None
     else:
-        des_len_list = des_len.tolist()
+        des_len_list = words.des_len.tolist()
 
     i = -1
     try:
         for i in range(count):
             code = op_list[i]
-            words = size_list[i]
+            size = size_list[i]
             a = a_list[i]
             d = d_list[i]
             if code == TRAN_BYTE:
                 if a != d:
-                    chunk = buffer[a : a + words]
-                    if abs(a - d) < words:
+                    chunk = buffer[a : a + size]
+                    if abs(a - d) < size:
                         chunk = chunk.copy()
-                    buffer[d : d + words] = chunk
+                    buffer[d : d + size] = chunk
             else:
-                vpc_opcode = BYTE_TO_OPCODE[code]
-                first_len = 1 if code == SMUL_BYTE else words
+                first_len = 1 if code == SMUL_BYTE else size
                 result = apply_compute(
-                    vpc_opcode,
+                    BYTE_TO_OPCODE[code],
                     buffer[a : a + first_len],
-                    buffer[b_list[i] : b_list[i] + words],
+                    buffer[b_list[i] : b_list[i] + size],
                 )
                 buffer[d : d + len(result)] = result
             if drift_map is not None:
@@ -695,131 +738,197 @@ def _apply_functional_columnar(
             f"shift escaped the nanowire model during replay: {exc}",
             index=index_offset + i,
         ) from exc
-
-    written_starts, written_ends = _merge_ranges(
-        des[:count], (des + des_len)[:count]
-    )
-    write = device.store.write
-    for start, end, base in zip(
-        written_starts.tolist(),
-        written_ends.tolist(),
-        compact(written_starts).tolist(),
-    ):
-        write(start, buffer[base : base + (end - start)])
+    words.flush(device.store)
 
 
-def _apply_functional_chunk(device, cols: ColumnarTrace) -> bool:
-    """Monitored fast functional apply of one trace chunk.
+def _apply_functional_batched(device, cols: ColumnarTrace) -> bool:
+    """Dependency-levelled batched apply of one chunk.
 
-    Same compaction, seeding, and write-back as
-    :func:`_apply_functional_columnar`, but the per-command loop inlines
-    the processor arithmetic (``np.dot`` / ``+`` / scalar broadcast)
-    instead of calling ``RMProcessor.apply``, dropping its per-command
-    operand-range scans.  Soundness is restored by monitoring: the
-    seeded buffer is checked once for negatives, and every compute
-    result is mirrored into a flat monitor array checked once at the
-    end.  If both checks pass, no per-command operand check could have
-    fired — every value a command read was a non-negative seed or a
-    non-negative earlier result, and int64 arithmetic is exact — so the
-    buffer is bit-identical to the exact loop's and is flushed back.
+    Each op block (``cols.op_slices()``) is levelled
+    (:func:`_block_levels`) and executed one level at a time, grouped
+    by ``(opcode, size)``: every operand row of a group is gathered
+    through a strided row view, then every result is scattered.  Ops
+    run in trace order, so an op boundary is an exact barrier.
 
-    Returns False *without touching the store* when a negative value
-    appears (seed or wrapped result): the caller replays the chunk
-    through the exact per-command loop, which reproduces the canonical
-    behaviour — including the exact ``ValueError`` at the exact first
-    offending command if one of its operands really is negative.
+    The processor's per-command operand checks are replaced by a
+    monitor: the seeded buffer and every compute result are checked for
+    negatives.  If none appears, no operand check could have fired —
+    every value a command read was a non-negative seed or result, and
+    int64 arithmetic wraps identically in any order — so the buffer
+    equals the exact loop's and is flushed.  Otherwise this returns
+    False *without touching the store*, and the caller replays the
+    chunk through :func:`_apply_functional_exact`, which reproduces
+    the canonical ``ValueError`` at the first offending command.
     """
-    n = len(cols)
-    if n == 0:
+    if len(cols) == 0:
         return True
-    opcode = cols.opcode
-    src1 = cols.src1.astype(np.int64)
-    src2 = cols.src2.astype(np.int64)
-    des = cols.des.astype(np.int64)
-    size = cols.size.astype(np.int64)
-    compute = cols.is_compute
-    src1_len = np.where(opcode == SMUL_BYTE, 1, size)
-    des_len = np.where(opcode == MUL_BYTE, 1, size)
+    words = _DenseWords(device.store, cols, len(cols))
+    if bool((words.buffer < 0).any()):
+        return False
+    for lo, hi in cols.op_slices():
+        if not _apply_block(words, lo, hi):
+            return False
+    words.flush(device.store)
+    return True
 
-    range_starts = np.concatenate((src1, src2[compute], des))
-    range_ends = np.concatenate(
-        (src1 + src1_len, (src2 + size)[compute], des + des_len)
-    )
-    segment_starts, segment_ends = _merge_ranges(range_starts, range_ends)
-    lengths = segment_ends - segment_starts
-    offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    buffer = np.zeros(int(lengths.sum()), dtype=np.int64)
 
-    def compact(addresses: np.ndarray) -> np.ndarray:
-        index = np.searchsorted(segment_starts, addresses, side="right") - 1
-        return offsets[index] + (addresses - segment_starts[index])
+def _apply_block(words: _DenseWords, lo: int, hi: int) -> bool:
+    """Apply ``[lo, hi)``, halving it while it is over the pair budget."""
+    levels = _block_levels(words, lo, hi)
+    if levels is None:
+        mid = (lo + hi) // 2
+        return _apply_block(words, lo, mid) and _apply_block(words, mid, hi)
+    return _run_levels(words, lo, hi, levels)
 
-    stored = device.store._words
-    if stored:
-        keys = np.fromiter(stored.keys(), dtype=np.int64, count=len(stored))
-        values = np.fromiter(
-            stored.values(), dtype=np.int64, count=len(stored)
+
+def _block_levels(words: _DenseWords, lo: int, hi: int):
+    """Level of every command in ``[lo, hi)``, or None if over budget.
+
+    A command's level is 1 + the highest level of any earlier command
+    it has a RAW, WAR or WAW hazard with (0 if none), so the commands
+    of one level touch no word another of them writes.  Hazards are
+    found loop-free: the block's range endpoints cut the buffer into
+    elementary segments, every access expands to the segments it
+    covers, and one sort orders the (segment, command, read-before-
+    write) pairs — the pair expansion of
+    :class:`repro.verify.dataflow.DataflowIndex`.  In each segment a
+    read depends on the last earlier write; a write on the last earlier
+    write and every read since.  A frontier (Kahn) pass over those
+    edges assigns the levels.
+    """
+    m = hi - lo
+    compute = words.compute[lo:hi]
+    a = words.a[lo:hi]
+    b = words.b[lo:hi][compute]
+    d = words.d[lo:hi]
+    cmd = np.arange(m, dtype=np.int64)
+    ev_start = np.concatenate((a, b, d))
+    ev_end = np.concatenate(
+        (
+            a + words.src1_len[lo:hi],
+            b + words.size[lo:hi][compute],
+            d + words.des_len[lo:hi],
         )
-        index = np.searchsorted(segment_starts, keys, side="right") - 1
-        inside = (index >= 0) & (keys < segment_ends[index])
-        buffer[compact(keys[inside])] = values[inside]
+    )
+    # Sort key of each access within a segment: command, then reads
+    # before writes (an in-place command reads before it rewrites).
+    ev_key = np.concatenate((cmd, cmd[compute], cmd)) * 2
+    ev_key[len(a) + len(b) :] += 1
 
-    if bool((buffer < 0).any()):
-        return False
+    # Elementary segment of every endpoint: its rank among the distinct
+    # endpoints (one sort; cheaper than unique + searchsorted).
+    endpoints = np.concatenate((ev_start, ev_end))
+    order = np.argsort(endpoints)
+    ranked = endpoints[order]
+    distinct = np.ones(len(ranked), dtype=bool)
+    distinct[1:] = ranked[1:] != ranked[:-1]
+    segment_of = np.empty(len(ranked), dtype=np.int64)
+    segment_of[order] = np.cumsum(distinct) - 1
+    seg_lo = segment_of[: len(ev_start)]
+    counts = segment_of[len(ev_start) :] - seg_lo
+    if m > 1 and int(counts.sum()) > _PAIR_BUDGET:
+        return None
+    key = _expand(seg_lo, counts) * (2 * m) + np.repeat(ev_key, counts)
+    key.sort()
+    seg = key // (2 * m)
+    p_write = (key & 1).astype(bool)
+    p_cmd = (key - seg * (2 * m)) >> 1
 
-    op_list = opcode.tolist()
-    a_list = compact(src1).tolist()
-    # src2 of TRAN rows is the no-operand sentinel, outside every
-    # segment; substitute src1 so compact() stays in range (the value is
-    # never used for TRAN rows).
-    b_list = compact(np.where(compute, src2, src1)).tolist()
-    d_list = compact(des).tolist()
-    size_list = size.tolist()
+    pos = np.arange(len(key), dtype=np.int64)
+    new_segment = np.ones(len(key), dtype=bool)
+    new_segment[1:] = seg[1:] != seg[:-1]
+    seg_first = np.maximum.accumulate(np.where(new_segment, pos, 0))
+    last_write = np.full(len(key), -1, dtype=np.int64)
+    last_write[1:] = np.maximum.accumulate(np.where(p_write, pos, -1))[:-1]
+    last_write = np.where(last_write >= seg_first, last_write, -1)
 
-    monitor = np.empty(int(des_len[compute].sum()), dtype=np.int64)
-    pos = 0
-    dot = np.dot
-    for i in range(n):
-        code = op_list[i]
-        words = size_list[i]
-        a = a_list[i]
-        d = d_list[i]
-        if code == TRAN_BYTE:
-            if a != d:
-                chunk = buffer[a : a + words]
-                if abs(a - d) < words:
-                    chunk = chunk.copy()
-                buffer[d : d + words] = chunk
-        elif code == MUL_BYTE:
-            result = dot(
-                buffer[a : a + words],
-                buffer[b_list[i] : b_list[i] + words],
-            )
-            buffer[d] = result
-            monitor[pos] = result
-            pos += 1
-        elif code == ADD_BYTE:
-            result = (
-                buffer[a : a + words]
-                + buffer[b_list[i] : b_list[i] + words]
-            )
-            buffer[d : d + words] = result
-            monitor[pos : pos + words] = result
-            pos += words
-        else:  # SMUL
-            result = buffer[a] * buffer[b_list[i] : b_list[i] + words]
-            buffer[d : d + words] = result
-            monitor[pos : pos + words] = result
-            pos += words
-    if pos and bool((monitor[:pos] < 0).any()):
-        return False
+    raw = ~p_write & (last_write >= 0)
+    written = np.flatnonzero(p_write)
+    since = np.maximum(last_write[written], seg_first[written])
+    deps = written - since
+    src = np.concatenate(
+        (p_cmd[last_write[raw]], p_cmd[_expand(since, deps)])
+    )
+    dst = np.concatenate((p_cmd[raw], np.repeat(p_cmd[written], deps)))
+    keep = src != dst
+    return _frontier_levels(src[keep], dst[keep], m)
 
-    written_starts, written_ends = _merge_ranges(des, des + des_len)
-    write = device.store.write
-    for start, end, base in zip(
-        written_starts.tolist(),
-        written_ends.tolist(),
-        compact(written_starts).tolist(),
+
+def _frontier_levels(src: np.ndarray, dst: np.ndarray, m: int) -> np.ndarray:
+    """Longest-path depth of each node of a DAG, one frontier a step."""
+    level = np.zeros(m, dtype=np.int64)
+    if not len(src):
+        return level
+    targets_by_src = dst[np.argsort(src)]
+    out_count = np.bincount(src, minlength=m)
+    out_start = _exclusive_cumsum(out_count)
+    indegree = np.bincount(dst, minlength=m)
+    frontier = np.flatnonzero(indegree == 0)
+    depth = 0
+    while len(frontier):
+        level[frontier] = depth
+        counts = out_count[frontier]
+        targets = targets_by_src[_expand(out_start[frontier], counts)]
+        np.subtract.at(indegree, targets, 1)
+        frontier = np.sort(targets[indegree[targets] == 0])
+        if len(frontier) > 1:
+            frontier = frontier[
+                np.concatenate(([True], frontier[1:] != frontier[:-1]))
+            ]
+        depth += 1
+    return level
+
+
+def _run_levels(
+    words: _DenseWords, lo: int, hi: int, level: np.ndarray
+) -> bool:
+    """Execute ``[lo, hi)`` level by level, batched per (opcode, size)."""
+    opcode = words.opcode[lo:hi]
+    size = words.size[lo:hi]
+    order = np.lexsort((size, opcode, level))
+    level = level[order]
+    opcode = opcode[order]
+    size = size[order]
+    a = words.a[lo:hi][order]
+    b = words.b[lo:hi][order]
+    d = words.d[lo:hi][order]
+    cut = np.flatnonzero(
+        (level[1:] != level[:-1])
+        | (opcode[1:] != opcode[:-1])
+        | (size[1:] != size[:-1])
+    ) + 1
+    buffer = words.buffer
+    views: Dict[int, np.ndarray] = {}
+    for start, stop in zip(
+        [0] + cut.tolist(), cut.tolist() + [len(order)]
     ):
-        write(start, buffer[base : base + (end - start)])
+        code = int(opcode[start])
+        width = int(size[start])
+        rows = views.get(width)
+        if rows is None:
+            # The windows overlap, but the rows one batch writes are
+            # disjoint: a level holds no two writers of the same word.
+            rows = views[width] = np.lib.stride_tricks.sliding_window_view(
+                buffer, width, writeable=True
+            )
+        step = max(1, _GATHER_WORDS // width)
+        for first in range(start, stop, step):
+            last = min(first + step, stop)
+            ra = a[first:last]
+            rd = d[first:last]
+            if code == TRAN_BYTE:
+                rows[rd] = rows[ra]
+                continue
+            rb = b[first:last]
+            if code == MUL_BYTE:
+                result = np.einsum("ij,ij->i", rows[ra], rows[rb])
+                buffer[rd] = result
+            elif code == ADD_BYTE:
+                result = rows[ra] + rows[rb]
+                rows[rd] = result
+            else:  # SMUL
+                result = buffer[ra][:, None] * rows[rb]
+                rows[rd] = result
+            if bool((result < 0).any()):
+                return False
     return True

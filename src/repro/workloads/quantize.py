@@ -62,7 +62,9 @@ def calibrate(values: np.ndarray, bits: int = 8) -> QuantParams:
     qmax = (1 << bits) - 1
     if high == low:
         return QuantParams(scale=1.0, zero_point=0, bits=bits)
-    scale = (high - low) / qmax
+    # A range narrower than qmax normal floats would underflow the scale
+    # to a subnormal or to zero; floor it at the smallest normal float.
+    scale = max((high - low) / qmax, float(np.finfo(np.float64).tiny))
     zero_point = int(round(-low / scale))
     zero_point = max(0, min(qmax, zero_point))
     return QuantParams(scale=scale, zero_point=zero_point, bits=bits)

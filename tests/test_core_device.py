@@ -34,6 +34,44 @@ class TestWordStore:
         store.write(1, [9])  # overwrite
         assert len(store) == 2
 
+    def test_roundtrip_across_page_boundaries(self):
+        store = WordStore()
+        page = WordStore.PAGE_WORDS
+        values = np.arange(1, 2 * page + 7)
+        store.write(page - 3, values)  # spans four pages
+        assert np.array_equal(store.read(page - 3, len(values)), values)
+        assert list(store.read(page - 5, 4)) == [0, 0, 1, 2]
+        last = 2 * page + 6
+        assert list(store.read(3 * page + 1, 3)) == [last - 1, last, 0]
+
+    def test_unwritten_words_of_a_written_page_read_zero(self):
+        store = WordStore()
+        page = WordStore.PAGE_WORDS
+        store.write(page + 10, [7])
+        assert list(store.read(page + 8, 4)) == [0, 0, 7, 0]
+        assert list(store.read(page - 2, 4)) == [0, 0, 0, 0]
+        assert list(store.read(5 * page, 2)) == [0, 0]
+
+    def test_len_after_overwrites_across_pages(self):
+        store = WordStore()
+        page = WordStore.PAGE_WORDS
+        store.write(page - 2, [1, 2, 3, 4])  # two pages, four words
+        store.write(page - 1, [5, 6])  # overwrites two of them
+        store.write(page + 2, [0])  # a written zero still counts
+        assert len(store) == 5
+        store.write(page - 2, [9] * 5)
+        assert len(store) == 5
+
+    def test_snapshot_lists_written_words(self):
+        store = WordStore()
+        page = WordStore.PAGE_WORDS
+        store.write(page - 1, [4, 0, 6])
+        store.write(7, [1])
+        assert store.snapshot() == {
+            7: 1, page - 1: 4, page: 0, page + 1: 6
+        }
+        assert WordStore().snapshot() == {}
+
 
 class TestSpansToBreakdown:
     def test_disjoint_spans(self):

@@ -71,6 +71,13 @@ class TestRoundtrip:
         recovered = dequantize(quantize(tensor, params), params)
         assert np.all(np.abs(recovered - tensor) <= params.scale * 0.51)
 
+    def test_subnormal_range_does_not_underflow_scale(self):
+        tensor = np.array([0.0, 5e-324])
+        params = calibrate(tensor)
+        assert params.scale > 0
+        recovered = dequantize(quantize(tensor, params), params)
+        assert np.all(np.abs(recovered - tensor) <= params.scale * 0.51)
+
 
 class TestQuantizedMatmul:
     def test_exact_for_integer_friendly_data(self):

@@ -79,7 +79,7 @@ def _phased(make_task, engine):
     stats = device.execute_trace(
         trace, workload="stream", functional=True, engine=engine
     )
-    return stats, dict(device.store._words), collector.spans, trace
+    return stats, device.store.snapshot(), collector.spans, trace
 
 
 def _streamed(make_task, chunk_vpcs):
@@ -94,7 +94,7 @@ def _streamed(make_task, chunk_vpcs):
         workload="stream",
         functional=True,
     )
-    return result, dict(device.store._words), collector.spans, telemetry
+    return result, device.store.snapshot(), collector.spans, telemetry
 
 
 class TestChunkBoundaryInvariance:

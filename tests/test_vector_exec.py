@@ -1,16 +1,24 @@
 """Vector trace engine: exact scalar equivalence + supporting machinery."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.cli import _check_specs, main
 from repro.core.device import StreamPIMDevice
 from repro.isa.columnar import ColumnarTrace
 from repro.isa.trace import VPCTrace, write_trace_binary
 from repro.isa.vpc import VPC
+from repro.sim import vector_exec
 from repro.sim.engine import Engine
 from repro.sim.stats import TimeBreakdown
-from repro.sim.vector_exec import sweep_spans
+from repro.sim.vector_exec import (
+    _apply_functional_batched,
+    _apply_functional_exact,
+    sweep_spans,
+)
 from repro.verify.trace_verifier import TraceVerificationError
 
 _BREAKDOWN_FIELDS = (
@@ -96,7 +104,7 @@ class TestDifferentialAllWorkloads:
         _assert_identical(scalar_stats, vector_stats)
         # Functional replay left both word stores in the same state —
         # same addresses present, same values.
-        assert vector_device.store._words == scalar_device.store._words
+        assert vector_device.store.snapshot() == scalar_device.store.snapshot()
 
 
 class TestEngineSelection:
@@ -274,8 +282,176 @@ class TestCliIntegration:
         path = tmp_path / "t.bin"
         trace = VPCTrace([VPC.tran(0, 64, 8), VPC.add(0, 64, 128, 8)])
         write_trace_binary(trace, path)
-        assert main(["replay", str(path)]) == 0
+        assert main(["replay", str(path), "--engine", "scalar"]) == 0
         scalar_out = capsys.readouterr().out
         assert main(["replay", str(path), "--engine", "vector"]) == 0
         vector_out = capsys.readouterr().out
         assert vector_out == scalar_out
+
+
+# ----------------------------------------------------------------------
+# Batched functional apply vs the exact loop and the scalar engine
+# ----------------------------------------------------------------------
+#: Every random command lives in this many words, so ranges alias and
+#: overlap often.
+_WINDOW = 24
+_INT64_MAX = (1 << 63) - 1
+
+
+@st.composite
+def _functional_traces(draw, values=st.integers(0, 3)):
+    """(commands, op_starts or None, seed words) over a small window."""
+    commands = []
+    for _ in range(draw(st.integers(1, 16))):
+        kind = draw(st.sampled_from(("tran", "mul", "add", "smul")))
+        size = draw(st.integers(1, 6))
+        place = st.integers(0, _WINDOW - size)
+        src1 = draw(place)
+        src2 = draw(place)
+        des = draw(place)
+        if kind == "tran":
+            commands.append(VPC.tran(src1, des, size))
+        elif kind == "add" and draw(st.booleans()):
+            # In place: the destination is one of the operands.
+            commands.append(VPC.add(src1, src2, src1, size))
+        else:
+            commands.append(getattr(VPC, kind)(src1, src2, des, size))
+    op_starts = None
+    if draw(st.booleans()):
+        cuts = st.sets(st.integers(1, max(1, len(commands) - 1)))
+        op_starts = [0] + sorted(draw(cuts)) if len(commands) > 1 else [0]
+    seed = draw(st.lists(values, min_size=_WINDOW, max_size=_WINDOW))
+    return commands, op_starts, seed
+
+
+def _columnar(commands, op_starts):
+    cols = ColumnarTrace.from_trace(VPCTrace(commands))
+    if op_starts is not None:
+        cols = ColumnarTrace(cols.records, op_starts=op_starts)
+    return cols
+
+
+def _seeded(seed):
+    device = StreamPIMDevice()
+    device.store.write(0, seed)
+    return device
+
+
+def _python_reference(commands, seed):
+    """Unbounded-integer replay: final words, or None if any result
+    leaves int64 (where the engines must wrap or reject)."""
+    words = dict(enumerate(seed))
+    for vpc in commands:
+        a = [words.get(vpc.src1 + i, 0) for i in range(vpc.size)]
+        if vpc.opcode.name == "TRAN":
+            result = a
+        else:
+            b = [words.get(vpc.src2 + i, 0) for i in range(vpc.size)]
+            if vpc.opcode.name == "MUL":
+                result = [sum(x * y for x, y in zip(a, b))]
+            elif vpc.opcode.name == "ADD":
+                result = [x + y for x, y in zip(a, b)]
+            else:
+                result = [a[0] * y for y in b]
+        if any(value > _INT64_MAX for value in result):
+            return None
+        for i, value in enumerate(result):
+            words[vpc.des + i] = value
+    return words
+
+
+def _first_error(run, commands, op_starts, seed):
+    """(index, message) of the first command a replay rejects."""
+    for count in range(1, len(commands) + 1):
+        starts = None
+        if op_starts is not None:
+            starts = [s for s in op_starts if s < count]
+        try:
+            run(_seeded(seed), commands[:count], starts)
+        except ValueError as exc:
+            return count - 1, str(exc)
+    return None
+
+
+def _run_exact(device, commands, op_starts):
+    _apply_functional_exact(device, _columnar(commands, op_starts))
+
+
+def _run_vector(device, commands, op_starts):
+    device.execute_trace(_columnar(commands, op_starts), engine="vector")
+
+
+def _run_scalar(device, commands, op_starts):
+    device.execute_trace(VPCTrace(commands))
+
+
+class TestBatchedApplyProperty:
+    """The batched apply equals the exact loop and the scalar engine."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_functional_traces())
+    def test_store_matches_exact_and_scalar(self, case):
+        commands, op_starts, seed = case
+        reference = _python_reference(commands, seed)
+        # Wrapping chains are the next test's subject.
+        assume(reference is not None)
+        cols = _columnar(commands, op_starts)
+        batched = _seeded(seed)
+        # Nothing wraps and no seed is negative: no fallback.
+        assert _apply_functional_batched(batched, cols)
+        exact = _seeded(seed)
+        _apply_functional_exact(exact, cols)
+        scalar = _seeded(seed)
+        scalar.execute_trace(VPCTrace(commands))
+        vector = _seeded(seed)
+        vector.execute_trace(cols, engine="vector")
+        # A tiny pair budget splits every op into small sub-blocks.
+        split = _seeded(seed)
+        with mock.patch.object(vector_exec, "_PAIR_BUDGET", 2):
+            assert _apply_functional_batched(split, cols)
+
+        assert batched.store.snapshot() == reference
+        assert split.store.snapshot() == reference
+        assert exact.store.snapshot() == reference
+        assert scalar.store.snapshot() == reference
+        assert vector.store.snapshot() == reference
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        case=_functional_traces(
+            values=st.sampled_from((0, 1, 2, 2, -1, 1 << 31, 1 << 62))
+        )
+    )
+    def test_rejects_at_the_same_index(self, case):
+        commands, op_starts, seed = case
+        exact = _first_error(_run_exact, commands, op_starts, seed)
+        assert _first_error(_run_vector, commands, op_starts, seed) == exact
+        assert _first_error(_run_scalar, commands, op_starts, seed) == exact
+        if exact is None:
+            scalar = _seeded(seed)
+            _run_scalar(scalar, commands, None)
+            vector = _seeded(seed)
+            _run_vector(vector, commands, op_starts)
+            assert vector.store.snapshot() == scalar.store.snapshot()
+
+    def test_wrapped_product_read_later_raises(self):
+        # 2**62 * 2 wraps to a negative word; the ADD then reads it.
+        commands = [VPC.smul(0, 1, 4, 1), VPC.add(4, 5, 6, 1)]
+        seed = [1 << 62, 2] + [0] * (_WINDOW - 2)
+        device = _seeded(seed)
+        assert not _apply_functional_batched(device, _columnar(commands, None))
+        assert device.store.snapshot() == dict(enumerate(seed))
+        expected = (1, "operands must be non-negative integers")
+        for run in (_run_exact, _run_vector, _run_scalar):
+            assert _first_error(run, commands, None, seed) == expected
+
+    def test_wrapped_product_never_read_falls_back_exactly(self):
+        commands = [VPC.smul(0, 1, 4, 1), VPC.tran(1, 8, 2)]
+        seed = [1 << 62, 2] + [0] * (_WINDOW - 2)
+        vector = _seeded(seed)
+        result = vector.execute_trace_stream([_columnar(commands, None)])
+        assert result.fallbacks == 1
+        scalar = _seeded(seed)
+        _run_scalar(scalar, commands, None)
+        assert vector.store.snapshot() == scalar.store.snapshot()
+        assert vector.store.read(4, 1)[0] < 0
